@@ -321,7 +321,9 @@ class CompilationCache:
                     self.stats.expired += 1
                     removed["expired"] += 1
                     removed["bytes_freed"] += size
-                    live_bytes -= size
+                elif os.path.exists(path):
+                    continue  # not removed: it still counts
+                live_bytes -= size
                 continue
             survivors.append((mtime, size, path))
         if self.max_disk_bytes is not None \
@@ -334,7 +336,11 @@ class CompilationCache:
                     self.stats.disk_evictions += 1
                     removed["evicted"] += 1
                     removed["bytes_freed"] += size
-                    live_bytes -= size
+                elif os.path.exists(path):
+                    continue  # not removed: it still counts
+                # gone, whichever sweeper claimed it: counting it would
+                # let racing sweepers together empty the tree
+                live_bytes -= size
         removed["bytes"] = live_bytes
         return removed
 

@@ -487,108 +487,73 @@ def cmd_serve(args) -> int:
     import json as _json
     import signal
 
+    from .serve import DaemonThread, FleetConfig, FleetThread, ServeConfig
+
+    bind = dict(
+        socket_path=None if args.tcp is not None else args.socket,
+        host="127.0.0.1" if args.tcp is not None else None,
+        port=args.tcp or 0,
+    )
+    settings = dict(
+        jobs=args.jobs,
+        cache_dir=args.cache,
+        max_batch=args.max_batch,
+        max_delay=args.max_delay_ms / 1000.0,
+        kernel=args.kernel,
+        cache_ttl=args.cache_ttl,
+        cache_max_bytes=args.cache_max_bytes,
+        preempt_priority=args.preempt_priority,
+    )
     if args.fleet:
-        return _cmd_serve_fleet(args)
-
-    from .serve import DaemonThread, ServeConfig
-
-    config = ServeConfig(
-        socket_path=None if args.tcp is not None else args.socket,
-        host="127.0.0.1" if args.tcp is not None else None,
-        port=args.tcp or 0,
-        jobs=args.jobs,
-        cache_dir=args.cache,
-        max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1000.0,
-        kernel=args.kernel,
-        cache_ttl=args.cache_ttl,
-        cache_max_bytes=args.cache_max_bytes,
-        preempt_priority=args.preempt_priority,
-    )
-    daemon = DaemonThread(config).start()
-    kind = daemon.address[0]
-    where = daemon.address[1] if kind == "unix" else \
-        f"{daemon.address[1]}:{daemon.address[2]}"
-    print(f"repro serve: listening on {kind} {where} "
-          f"(jobs={config.jobs}, max_batch={config.max_batch}, "
-          f"max_delay={config.max_delay * 1000:.1f}ms)", file=sys.stderr)
+        config = FleetConfig(shards=args.fleet,
+                             shard=ServeConfig(**settings), **bind)
+        handle = FleetThread(config).start()
+    else:
+        config = ServeConfig(**bind, **settings)
+        handle = DaemonThread(config).start()
+    kind = handle.address[0]
+    where = handle.address[1] if kind == "unix" else \
+        f"{handle.address[1]}:{handle.address[2]}"
+    if args.fleet:
+        print(f"repro serve: fleet of {config.shards} shard(s) on "
+              f"{kind} {where} (jobs/shard={config.shard.jobs}, "
+              f"cache={config.cache_dir})", file=sys.stderr)
+    else:
+        print(f"repro serve: listening on {kind} {where} "
+              f"(jobs={config.jobs}, max_batch={config.max_batch}, "
+              f"max_delay={config.max_delay * 1000:.1f}ms)",
+              file=sys.stderr)
 
     done = []
 
     def _stop(signum, frame):
         if not done:
             done.append(signum)
-            print("repro serve: draining...", file=sys.stderr)
-            daemon.daemon.request_stop(drain=True)
+            print(f"repro serve: draining{' fleet' if args.fleet else ''}"
+                  f"...", file=sys.stderr)
+            handle.server.request_stop(drain=True)
 
     signal.signal(signal.SIGINT, _stop)
     signal.signal(signal.SIGTERM, _stop)
-    daemon._thread.join()
-    snapshot = daemon.daemon.snapshot()
+    # join in slices: a signal that lands just as a blocking join
+    # starts would not run its handler until the join returned
+    while not handle.join(timeout=0.5):
+        pass
+    snapshot = handle.server.final_stats()
     if args.stats_out:
         with open(args.stats_out, "w") as fh:
             fh.write(_json.dumps(snapshot, indent=2) + "\n")
-    print(f"repro serve: {snapshot['requests']['responded']} responses, "
-          f"{snapshot['requests']['compiles']} compiles, "
-          f"cache hit rate "
-          f"{snapshot['cache']['hit_rate'] * 100:.0f}%", file=sys.stderr)
-    return 0
-
-
-def _cmd_serve_fleet(args) -> int:
-    import json as _json
-    import signal
-
-    from .serve.fleet import FleetConfig, FleetThread
-
-    config = FleetConfig(
-        shards=args.fleet,
-        socket_path=None if args.tcp is not None else args.socket,
-        host="127.0.0.1" if args.tcp is not None else None,
-        port=args.tcp or 0,
-        jobs=args.jobs,
-        cache_dir=args.cache,
-        max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1000.0,
-        kernel=args.kernel,
-        cache_ttl=args.cache_ttl,
-        cache_max_bytes=args.cache_max_bytes,
-        preempt_priority=args.preempt_priority,
-    )
-    fleet = FleetThread(config).start()
-    kind = fleet.address[0]
-    where = fleet.address[1] if kind == "unix" else \
-        f"{fleet.address[1]}:{fleet.address[2]}"
-    print(f"repro serve: fleet of {config.shards} shard(s) on "
-          f"{kind} {where} (jobs/shard={config.jobs}, "
-          f"cache={config.cache_dir})", file=sys.stderr)
-
-    done = []
-
-    def _stop(signum, frame):
-        if not done:
-            done.append(signum)
-            print("repro serve: draining fleet...", file=sys.stderr)
-            fleet.router.request_stop(drain=True)
-
-    signal.signal(signal.SIGINT, _stop)
-    signal.signal(signal.SIGTERM, _stop)
-    fleet._thread.join()
-    if args.stats_out:
-        # stop() captures a full fleet view (router + shard stats +
-        # aggregate) while the shards can still answer; fall back to
-        # router-only counters if the capture itself failed
-        snapshot = fleet.router.final_snapshot or {
-            "router": fleet.router.stats.snapshot(
-                {link.index: link.forwarded
-                 for link in fleet.router._links}),
-            "config": config.describe()}
-        with open(args.stats_out, "w") as fh:
-            fh.write(_json.dumps(snapshot, indent=2) + "\n")
-    stats = fleet.router.stats
-    print(f"repro serve: fleet routed {stats.forwarded} requests "
-          f"({stats.shard_lost_errors} shard-lost, "
-          f"{stats.respawns} respawns)", file=sys.stderr)
+    if args.fleet:
+        stats = handle.stats
+        print(f"repro serve: fleet routed {stats.forwarded} requests "
+              f"({stats.shard_lost_errors} shard-lost, "
+              f"{stats.respawns} respawns)", file=sys.stderr)
+    else:
+        print(f"repro serve: {snapshot['requests']['responded']} "
+              f"responses, {snapshot['requests']['compiles']} compiles, "
+              f"cache hit rate "
+              f"{snapshot['cache']['hit_rate'] * 100:.0f}%",
+              file=sys.stderr)
     return 0
 
 

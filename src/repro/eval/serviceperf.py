@@ -300,10 +300,9 @@ def bench_service_fleet(requests: int = 1000, clients: int = 8,
     """
     say = progress or (lambda line: None)
     per_client = max(1, requests // clients)
-    fleet_config = FleetConfig(
-        shards=shards, jobs=jobs, max_batch=max_batch,
-        max_delay=max_delay, cache_ttl=cache_ttl,
-        cache_max_bytes=cache_max_bytes)
+    fleet_config = FleetConfig(shards=shards, shard=ServeConfig(
+        jobs=jobs, max_batch=max_batch, max_delay=max_delay,
+        cache_ttl=cache_ttl, cache_max_bytes=cache_max_bytes))
     events = None
     if trace_path is not None:
         events = load_trace(trace_path)

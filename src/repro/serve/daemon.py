@@ -25,6 +25,11 @@ process — is a cache hit.  Responses stream back per request as each
 batch completes; a connection's responses always come back in its
 request-arrival order, so clients may pipeline arbitrarily deep.
 
+The socket, framing, per-connection writer and stop sequence live in
+:class:`~repro.serve.lineserver.LineServer`; this module keeps only the
+daemon's policy: admission, batching, the source->key memo and the
+cache.
+
 Graceful degradation is deliberate and tested: malformed or oversized
 requests get structured error responses, a client disconnecting
 mid-stream only increments a counter, cache-directory loss degrades
@@ -40,12 +45,11 @@ import multiprocessing
 import os
 import shutil
 import tempfile
-import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..cache import CompilationCache
 from ..core.batch import CompileJob, compile_many
@@ -53,11 +57,11 @@ from ..core.pipeline import ALL_OPTIMIZERS, MerlinPipeline
 from ..verifier import KERNELS
 from . import protocol
 from .fairness import FairAdmissionQueue
+from .lineserver import Connection, LineServer, ServerThread
 from .metrics import ServiceStats
 from .protocol import ProtocolError, Request
 
 _STOP = object()   # admission-queue sentinel: drain, then exit
-_EOF = object()    # per-connection write-queue sentinel
 
 
 @dataclass
@@ -138,51 +142,11 @@ class _Pending:
         self.dispatched = 0.0
 
 
-class _Connection:
-    """Per-client state: a FIFO of response futures and one writer."""
-
-    def __init__(self, writer: asyncio.StreamWriter, stats: ServiceStats):
-        self.writer = writer
-        self.stats = stats
-        self.queue: "asyncio.Queue" = asyncio.Queue()
-        self.inflight = 0
-        self.broken = False
-        self.writer_task: Optional[asyncio.Task] = None
-
-    def enqueue(self, future: "asyncio.Future") -> None:
-        self.inflight += 1
-        self.queue.put_nowait(future)
-
-    async def write_loop(self) -> None:
-        """Write responses strictly in request-arrival order."""
-        while True:
-            item = await self.queue.get()
-            if item is _EOF:
-                break
-            response = await item
-            if not self.broken:
-                try:
-                    self.writer.write(protocol.encode(response))
-                    await self.writer.drain()
-                    self.stats.responses_sent += 1
-                except (ConnectionError, OSError):
-                    # client went away mid-stream: keep draining
-                    # futures (their results are simply dropped)
-                    self.broken = True
-                    self.stats.disconnects += 1
-            self.inflight -= 1
-
-    async def quiesce(self) -> None:
-        while self.inflight > 0:
-            await asyncio.sleep(0.005)
-
-
-class OptimizationDaemon:
+class OptimizationDaemon(LineServer):
     """The asyncio service around :func:`repro.core.batch.compile_many`."""
 
     def __init__(self, config: Optional[ServeConfig] = None):
-        self.config = config or ServeConfig()
-        self.stats = ServiceStats()
+        super().__init__(config or ServeConfig(), ServiceStats())
         self._own_cache_dir: Optional[str] = None
         cache_dir = self.config.cache_dir
         if cache_dir is None and self.config.jobs > 1:
@@ -202,19 +166,11 @@ class OptimizationDaemon:
         self._queue = FairAdmissionQueue(
             maxsize=self.config.queue_limit,
             weights=self.config.tenant_weights)
-        self._connections: set = set()
-        self._handler_tasks: set = set()
-        self._server: Optional[asyncio.AbstractServer] = None
         self._batcher_task: Optional[asyncio.Task] = None
         self._sweep_task: Optional[asyncio.Task] = None
         self._dispatch_thread = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-dispatch")
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stopping = False       # no longer admitting compiles
-        self._stop_requested = False  # stop() body claimed
-        self._stopped = asyncio.Event()
-        self.address: Optional[Tuple] = None
 
     # ------------------------------------------------------------ setup
     def _pipeline_for(self, request: Request) -> MerlinPipeline:
@@ -227,28 +183,12 @@ class OptimizationDaemon:
             self._pipelines[key] = pipeline
         return pipeline
 
-    async def start(self) -> None:
-        """Bind the socket and start the batcher; returns once ready."""
-        self._loop = asyncio.get_running_loop()
-        self._stopped = asyncio.Event()
+    async def _open(self) -> None:
         if self.config.jobs > 1:
             # spawn (not fork): the daemon is multi-threaded by design
             self._pool = ProcessPoolExecutor(
                 max_workers=self.config.jobs,
                 mp_context=multiprocessing.get_context("spawn"))
-        if self.config.socket_path is not None:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self.config.socket_path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.config.socket_path,
-                limit=protocol.MAX_LINE_BYTES)
-            self.address = ("unix", self.config.socket_path)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=self.config.host,
-                port=self.config.port, limit=protocol.MAX_LINE_BYTES)
-            sock = self._server.sockets[0]
-            self.address = ("tcp",) + sock.getsockname()[:2]
         self._batcher_task = asyncio.ensure_future(self._batch_loop())
         if self.config.cache_ttl is not None \
                 or self.config.cache_max_bytes is not None:
@@ -271,58 +211,8 @@ class OptimizationDaemon:
             except Exception:  # pragma: no cover - sweep is best-effort
                 pass
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._stopped.wait()
-
-    # ------------------------------------------------------- connections
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(writer, self.stats)
-        conn.writer_task = asyncio.ensure_future(conn.write_loop())
-        self._connections.add(conn)
-        self._handler_tasks.add(asyncio.current_task())
-        self.stats.connections_opened += 1
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, asyncio.LimitOverrunError):
-                    # request line beyond the framing limit: the stream
-                    # is unrecoverable — answer once, then hang up
-                    self.stats.protocol_errors += 1
-                    conn.enqueue(self._resolved(protocol.error_response(
-                        None, "oversized",
-                        f"line exceeds {protocol.MAX_LINE_BYTES} bytes")))
-                    break
-                except (ConnectionError, OSError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                self.stats.requests_received += 1
-                self._route(conn, line)
-        finally:
-            conn.queue.put_nowait(_EOF)
-            try:
-                await conn.writer_task
-            except BaseException:  # incl. CancelledError at teardown
-                conn.writer_task.cancel()
-            finally:
-                with contextlib.suppress(Exception):
-                    writer.close()
-                self._connections.discard(conn)
-                self._handler_tasks.discard(asyncio.current_task())
-                self.stats.connections_closed += 1
-
-    def _resolved(self, response: dict) -> "asyncio.Future":
-        future = self._loop.create_future()
-        future.set_result(response)
-        return future
-
-    def _route(self, conn: _Connection, line: bytes) -> None:
+    # ----------------------------------------------------------- routing
+    async def _route(self, conn: Connection, line: bytes) -> None:
         try:
             request = protocol.parse_request(line)
         except ProtocolError as exc:
@@ -339,9 +229,7 @@ class OptimizationDaemon:
                 request.id, self.snapshot())))
             return
         if request.op == "shutdown":
-            conn.enqueue(self._resolved(protocol.ok_response(
-                request.id, {"stopping": True})))
-            asyncio.ensure_future(self.stop(drain=True))
+            self._shutdown(conn, request.id)
             return
         # compile / validate
         if self._stopping:
@@ -529,7 +417,7 @@ class OptimizationDaemon:
     def _finish(self, pending: _Pending, response: dict) -> None:
         self.stats.latency.observe(time.monotonic() - pending.enqueued)
         if not pending.future.done():
-            pending.future.set_result(response)
+            pending.future.set_result(protocol.encode(response))
 
     def _payload(self, request: Request, program, report) -> dict:
         result = {
@@ -604,26 +492,7 @@ class OptimizationDaemon:
         return out
 
     # -------------------------------------------------------------- stop
-    async def stop(self, drain: bool = True) -> None:
-        """Stop accepting, optionally drain admitted requests, then
-        flush every connection and shut the workers down."""
-        if self._stop_requested:
-            await self._stopped.wait()
-            return
-        self._stop_requested = True
-        if drain and self.config.drain_grace > 0:
-            # let the loop process sockets that are already readable
-            # (accepts and buffered request lines that raced this call)
-            # so they are admitted and drained instead of dropped
-            await asyncio.sleep(self.config.drain_grace)
-        self._stopping = True
-        if self._server is not None:
-            # close() alone stops the accept loop.  wait_closed() must
-            # come *after* connection teardown: from Python 3.12 it
-            # also waits for every accepted transport to detach, so
-            # awaiting it here deadlocks against a client that holds
-            # its connection open across the drain.
-            self._server.close()
+    async def _drain(self, drain: bool) -> bool:
         if not drain:
             while not self._queue.empty():
                 item = self._queue.get_nowait()
@@ -639,38 +508,22 @@ class OptimizationDaemon:
             self._sweep_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._sweep_task
-        # every admitted future is resolved; let the writers flush
-        for conn in list(self._connections):
-            await conn.quiesce()
-        for conn in list(self._connections):
-            conn.queue.put_nowait(_EOF)
-            with contextlib.suppress(Exception):
-                conn.writer.close()
-        for task in list(self._handler_tasks):
-            with contextlib.suppress(Exception):
-                await asyncio.wait_for(task, timeout=5.0)
-        if self._server is not None:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(self._server.wait_closed(), 5.0)
+        return True  # every admitted future is resolved
+
+    async def _close_backends(self) -> None:
         self._dispatch_thread.shutdown(wait=True)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self.config.socket_path is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self.config.socket_path)
         if self._own_cache_dir is not None:
             shutil.rmtree(self._own_cache_dir, ignore_errors=True)
-        self._stopped.set()
 
-    def request_stop(self, drain: bool = True) -> None:
-        """Thread-safe stop trigger (for signal handlers / test code)."""
-        if self._loop is not None:
-            asyncio.run_coroutine_threadsafe(self.stop(drain=drain),
-                                             self._loop)
+    def final_stats(self) -> dict:
+        """The ``stats`` payload, also after the daemon has stopped."""
+        return self.snapshot()
 
 
-class DaemonThread:
+class DaemonThread(ServerThread):
     """Run a daemon on a private event loop in a background thread.
 
     The pattern tests and the load generator use::
@@ -682,47 +535,4 @@ class DaemonThread:
 
     def __init__(self, config: Optional[ServeConfig] = None):
         self.daemon = OptimizationDaemon(config)
-        self._ready = threading.Event()
-        self._error: Optional[BaseException] = None
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-serve", daemon=True)
-
-    # --------------------------------------------------------- lifecycle
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # pragma: no cover - startup failure
-            self._error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        await self.daemon.start()
-        self._ready.set()
-        await self.daemon.serve_forever()
-
-    def start(self) -> "DaemonThread":
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("daemon failed to start in time")
-        if self._error is not None:
-            raise RuntimeError("daemon failed to start") from self._error
-        return self
-
-    def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
-        if self._thread.is_alive():
-            self.daemon.request_stop(drain=drain)
-            self._thread.join(timeout=timeout)
-
-    @property
-    def address(self) -> Tuple:
-        return self.daemon.address
-
-    @property
-    def stats(self) -> ServiceStats:
-        return self.daemon.stats
-
-    def __enter__(self) -> "DaemonThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        super().__init__(self.daemon, name="repro-serve", timeout=60.0)

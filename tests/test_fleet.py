@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.eval.serviceperf import scan_cache_tree
-from repro.serve import ServeClient
+from repro.serve import ServeClient, ServeConfig
 from repro.serve.fleet import (
     FleetConfig,
     FleetThread,
@@ -75,7 +75,8 @@ def payload(name, source, **extra):
 
 @pytest.fixture(scope="module")
 def fleet():
-    config = FleetConfig(shards=2, max_batch=8, max_delay=0.005)
+    config = FleetConfig(shards=2,
+                         shard=ServeConfig(max_batch=8, max_delay=0.005))
     with FleetThread(config) as handle:
         yield handle
 
@@ -130,8 +131,8 @@ class TestHashRing:
 class TestFleetConfig:
     def test_shard_configs_inherit_shared_cache(self, tmp_path):
         config = FleetConfig(shards=3, runtime_dir=str(tmp_path),
-                             jobs=2, cache_ttl=5.0,
-                             cache_max_bytes=1 << 20)
+                             shard=ServeConfig(jobs=2, cache_ttl=5.0,
+                                               cache_max_bytes=1 << 20))
         for index in range(3):
             shard = config.shard_config(index)
             assert shard.cache_dir == config.cache_dir
@@ -362,8 +363,8 @@ class TestTraceRoundTrip:
 # ======================================= shard loss + drain (S3)
 class TestShardFailure:
     def test_kill_mid_batch_yields_shard_lost_then_respawn(self):
-        config = FleetConfig(shards=2, max_batch=4, max_delay=0.005,
-                             reconnect_delay=0.05)
+        config = FleetConfig(shards=2, reconnect_delay=0.05,
+                             shard=ServeConfig(max_batch=4, max_delay=0.005))
         with FleetThread(config) as fleet:
             with ServeClient(fleet.address) as client:
                 # cold burst pinned to one shard, killed mid-flight:
@@ -403,7 +404,8 @@ class TestShardFailure:
                 assert snapshot["router"]["reconnects"] >= 1
 
     def test_requests_reroute_while_shard_down(self):
-        config = FleetConfig(shards=2, max_delay=0.005, respawn=False)
+        config = FleetConfig(shards=2, respawn=False,
+                             shard=ServeConfig(max_delay=0.005))
         with FleetThread(config) as fleet:
             with ServeClient(fleet.address) as client:
                 source = "u64 r(u8* ctx) { return 77; }"
@@ -422,7 +424,8 @@ class TestShardFailure:
                 assert fleet.router.shard_for(source) != home
 
     def test_drain_shutdown_drops_nothing(self):
-        config = FleetConfig(shards=2, max_batch=4, max_delay=0.01)
+        config = FleetConfig(shards=2,
+                             shard=ServeConfig(max_batch=4, max_delay=0.01))
         with FleetThread(config) as fleet:
             with ServeClient(fleet.address) as client:
                 pending = [payload(f"d{i}",
@@ -447,7 +450,8 @@ class TestShardFailure:
         ``Server.wait_closed`` also waits for every accepted transport
         to detach, so awaiting it before connection teardown deadlocks
         against exactly this client."""
-        config = FleetConfig(shards=2, max_batch=4, max_delay=0.01)
+        config = FleetConfig(shards=2,
+                             shard=ServeConfig(max_batch=4, max_delay=0.01))
         with FleetThread(config) as fleet:
             client = ServeClient(fleet.address)
             try:
@@ -483,8 +487,9 @@ class TestCrossShardContention:
         clients keep re-requesting: no torn entries, no read errors,
         and the warm-hit ratio recovers once traffic re-stores the
         expired keys."""
-        config = FleetConfig(shards=2, max_batch=8, max_delay=0.005,
-                             cache_ttl=0.3, sweep_interval=0.1)
+        config = FleetConfig(shards=2, shard=ServeConfig(
+            max_batch=8, max_delay=0.005, cache_ttl=0.3,
+            sweep_interval=0.1))
         with FleetThread(config) as fleet:
             with ServeClient(fleet.address) as client:
                 batch = [payload(name, source)
