@@ -33,12 +33,17 @@ that contains the same window shape.
 Keys are hex SHA-256 digests, so they are safe as file names for the
 on-disk store.  ``SCHEMA_VERSION`` is folded in; bump it whenever the
 serialized entry format or pipeline semantics change incompatibly.
+The :func:`build_fingerprint` of the optimizer's own sources is folded
+in too, so a persistent, shared cache never serves an entry built by a
+different implementation of the passes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import os
 from typing import FrozenSet, Iterable, Optional
 
 from .. import ir
@@ -48,6 +53,28 @@ from ..verifier import KernelConfig
 
 #: bump to invalidate every previously written cache entry
 SCHEMA_VERSION = 4
+
+#: subpackages of ``repro`` whose source decides what a compile emits
+FINGERPRINTED = ("frontend", "ir", "codegen", "core", "isa", "verifier", "tv")
+
+
+@functools.lru_cache(maxsize=None)
+def build_fingerprint() -> str:
+    """SHA-256 over the path and bytes of every ``.py`` file of the
+    :data:`FINGERPRINTED` packages, computed once per process."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for package in FINGERPRINTED:
+        top = os.path.join(root, package)
+        for dirpath, dirnames, filenames in os.walk(top):
+            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+            for name in sorted(filenames):
+                if name.endswith(".py"):
+                    path = os.path.join(dirpath, name)
+                    digest.update(os.path.relpath(path, root).encode() + b"\0")
+                    with open(path, "rb") as fh:
+                        digest.update(fh.read())
+    return digest.hexdigest()
 
 
 def canonical_text(func: ir.Function, module: Optional[ir.Module] = None) -> str:
@@ -92,6 +119,7 @@ def compose_key(
     """
     parts = (
         f"schema={SCHEMA_VERSION}",
+        f"build={build_fingerprint()}",
         f"passes={','.join(sorted(enabled))}",
         f"kernel={kernel_fingerprint(kernel)}",
         f"prog_type={prog_type.value}",
@@ -140,7 +168,8 @@ def key_for_window(insns, search: str = "") -> str:
     must not answer for one another, or ``cached == fresh`` breaks.
     """
     digest = hashlib.sha256()
-    digest.update(f"schema={SCHEMA_VERSION};superopt-memo;{search};".encode())
+    digest.update(f"schema={SCHEMA_VERSION};build={build_fingerprint()};"
+                  f"superopt-memo;{search};".encode())
     for insn in insns:
         digest.update(insn.encode())
     return digest.hexdigest()

@@ -42,27 +42,18 @@ def _native_cleanup(program: BpfProgram) -> None:
     unconditional jumps to the next instruction."""
     from ..core.bytecode_passes.analysis import BytecodeAnalysis
     from ..core.bytecode_passes.symbolic import SymbolicProgram
-    from ..isa import opcodes as op
 
     sym = SymbolicProgram.from_program(program)
+    analysis = BytecodeAnalysis(sym)
     changed = True
     while changed:
         changed = False
-        analysis = BytecodeAnalysis(sym)
-        for index in analysis.dead_defs():
+        for index in analysis.refresh().dead_defs():
             sym.delete(index)
             changed = True
-        for index in sym.live_indices():
-            item = sym.insns[index]
-            insn = item.insn
-            if insn.is_jump and insn.jmp_op == op.BPF_JA and \
-                    not insn.is_exit and item.target is not None:
-                resolved = item.target
-                while resolved < len(sym.insns) and sym.insns[resolved].deleted:
-                    resolved += 1
-                if resolved == sym.next_live(index):
-                    sym.delete(index)
-                    changed = True
+        for index in sym.jumps_to_next():
+            sym.delete(index)
+            changed = True
     program.insns = sym.to_insns()
 
 

@@ -1,6 +1,6 @@
 """Merlin: the paper's multi-tier eBPF optimization framework."""
 
-from .bytecode_passes.analysis import BytecodeAnalysis, insn_defs, insn_uses
+from .bytecode_passes.analysis import BytecodeAnalysis
 from .bytecode_passes.compaction import CodeCompactionPass
 from .bytecode_passes.peephole import PeepholePass
 from .bytecode_passes.store_imm import StoreImmediatePass
@@ -24,8 +24,6 @@ from .superopt import SuperoptSpec, SuperoptimizerPass
 
 __all__ = [
     "BytecodeAnalysis",
-    "insn_defs",
-    "insn_uses",
     "CodeCompactionPass",
     "PeepholePass",
     "StoreImmediatePass",

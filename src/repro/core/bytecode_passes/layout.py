@@ -39,6 +39,7 @@ from ...isa import BpfProgram, Instruction
 from ...isa import opcodes as op
 from ...isa.instruction import jump
 from ..pass_manager import BytecodePass
+from .analysis import BytecodeBlock, control_flow_blocks
 from .symbolic import SymInsn, SymbolicProgram
 
 #: conditional jump inversions (JSET has no complement opcode)
@@ -166,70 +167,8 @@ def collect_profile(program: BpfProgram,
 
 
 # ---------------------------------------------------------------------------
-# CFG construction
+# weighted CFG over the shared basic blocks
 # ---------------------------------------------------------------------------
-@dataclass
-class LayoutBlock:
-    """One basic block over logical instruction indices."""
-
-    first: int
-    last: int
-    #: terminator shape: "exit" | "jump" | "cond" | "fall"
-    kind: str = "fall"
-    #: block ids; END (== number of blocks) is the one-past-the-end
-    #: pseudo block, preserved so off-the-end control flow relocates
-    taken: Optional[int] = None   # cond: jump-taken successor
-    fall: Optional[int] = None    # cond/fall: fall-through; jump: target
-
-
-def control_flow_blocks(sym: SymbolicProgram) -> List[LayoutBlock]:
-    """Decompose a (deletion-free) symbolic program into basic blocks.
-
-    Shared by the layout pass and the TV layout validator: both sides
-    of a witness are decomposed with the same rules, then compared
-    structurally.  Block id ``len(blocks)`` denotes the end-of-program
-    pseudo target.
-    """
-    n = len(sym.insns)
-    leaders = {0}
-    for index, item in enumerate(sym.insns):
-        insn = item.insn
-        if insn.is_exit or (insn.is_jump and not insn.is_call):
-            if index + 1 < n:
-                leaders.add(index + 1)
-            if item.target is not None and item.target < n:
-                leaders.add(item.target)
-    starts = sorted(leaders)
-    block_of = {start: bid for bid, start in enumerate(starts)}
-    end_id = len(starts)
-
-    def resolve(index: Optional[int]) -> int:
-        if index is None or index >= n:
-            return end_id
-        return block_of[index]
-
-    blocks: List[LayoutBlock] = []
-    for bid, start in enumerate(starts):
-        stop = starts[bid + 1] - 1 if bid + 1 < len(starts) else n - 1
-        block = LayoutBlock(first=start, last=stop)
-        item = sym.insns[stop]
-        insn = item.insn
-        if insn.is_exit:
-            block.kind = "exit"
-        elif insn.is_jump and not insn.is_call and insn.jmp_op == op.BPF_JA:
-            block.kind = "jump"
-            block.fall = resolve(item.target)
-        elif insn.is_jump and not insn.is_call:
-            block.kind = "cond"
-            block.taken = resolve(item.target)
-            block.fall = end_id if stop + 1 >= n else block_of[stop + 1]
-        else:
-            block.kind = "fall"
-            block.fall = end_id if stop + 1 >= n else block_of[stop + 1]
-        blocks.append(block)
-    return blocks
-
-
 @dataclass
 class _Edge:
     src: int
@@ -238,7 +177,7 @@ class _Edge:
     kind: str  # "taken" | "fall" | "jump"
 
 
-def _cfg_edges(blocks: List[LayoutBlock], counts: List[int],
+def _cfg_edges(blocks: List[BytecodeBlock], counts: List[int],
                profile: ExecutionProfile,
                slot_of: Dict[int, int]) -> List[_Edge]:
     edges: List[_Edge] = []
@@ -259,7 +198,7 @@ def _cfg_edges(blocks: List[LayoutBlock], counts: List[int],
     return edges
 
 
-def _block_counts(blocks: List[LayoutBlock], profile: ExecutionProfile,
+def _block_counts(blocks: List[BytecodeBlock], profile: ExecutionProfile,
                   slot_of: Dict[int, int]) -> List[int]:
     """Per-block execution counts by flow conservation.
 
@@ -302,7 +241,7 @@ def _block_counts(blocks: List[LayoutBlock], profile: ExecutionProfile,
 # ---------------------------------------------------------------------------
 # chain ordering
 # ---------------------------------------------------------------------------
-def _edge_gain(edge: _Edge, blocks: List[LayoutBlock],
+def _edge_gain(edge: _Edge, blocks: List[BytecodeBlock],
                mispredict_penalty: int, line_bytes: int) -> float:
     """Estimated cycles saved per profile window if ``edge.dst`` is laid
     out directly after ``edge.src``, scored against the hw models:
@@ -329,7 +268,7 @@ def _edge_gain(edge: _Edge, blocks: List[LayoutBlock],
     return gain
 
 
-def _chain_order(blocks: List[LayoutBlock], edges: List[_Edge],
+def _chain_order(blocks: List[BytecodeBlock], edges: List[_Edge],
                  counts: List[int], mispredict_penalty: int,
                  line_bytes: int) -> List[int]:
     """Greedy chain merging (Pettis–Hansen seeded, ext-TSP scored):
@@ -425,7 +364,7 @@ class ProfileGuidedLayoutPass(BytecodePass):
         return max(moved + inverted, 1)
 
     # ------------------------------------------------------------ emission
-    def _emit(self, sym: SymbolicProgram, blocks: List[LayoutBlock],
+    def _emit(self, sym: SymbolicProgram, blocks: List[BytecodeBlock],
               order: List[int], slot_of: Dict[int, int]
               ) -> Optional[Tuple[List[Instruction], int, int]]:
         """Emit blocks in *order*; returns ``(insns, moved, inverted)``

@@ -22,7 +22,7 @@ from ...isa import BpfProgram
 from ...isa import instruction as ins
 from ...isa import opcodes as op
 from ..pass_manager import BytecodePass
-from .analysis import BytecodeAnalysis
+from .analysis import CONTROL, BytecodeAnalysis, decode
 from .symbolic import SymbolicProgram
 
 _U32 = 0xFFFFFFFF
@@ -54,11 +54,9 @@ class PeepholePass(BytecodePass):
 
     def _masked_shifts(self, sym: SymbolicProgram) -> int:
         analysis = BytecodeAnalysis(sym)
-        live = sym.live_indices()
-        pos_of = {idx: p for p, idx in enumerate(live)}
         rewrites = 0
         consumed = set()
-        for and_index in live:
+        for and_index in analysis.live:
             if and_index in consumed:
                 continue
             and_insn = sym.insns[and_index].insn
@@ -80,9 +78,8 @@ class PeepholePass(BytecodePass):
                 and shr.dst == and_insn.dst
             ):
                 continue
-            mask_index = self._find_mask_def(sym, analysis, live, pos_of,
-                                             and_index, and_insn.src,
-                                             shr.imm)
+            mask_index = self._find_mask_def(sym, analysis, and_index,
+                                             and_insn.src, shr.imm)
             if mask_index is None or mask_index in consumed:
                 continue
             if not analysis.straightline(mask_index, shr_index):
@@ -101,46 +98,29 @@ class PeepholePass(BytecodePass):
             rewrites += 1
         return rewrites
 
-    def _find_mask_def(self, sym, analysis, live, pos_of, and_index,
-                       mask_reg, shift):
+    def _find_mask_def(self, sym, analysis, and_index, mask_reg, shift):
         """Walk back from the AND to its mask-defining ld_imm64.
 
         Intervening instructions may not read or write the mask register
-        (other uses would observe the deleted load)."""
-        pos = pos_of[and_index]
-        for back in range(1, self.LOOKBACK + 1):
-            if pos - back < 0:
-                return None
-            index = live[pos - back]
+        (other uses would observe the deleted load), nor branch."""
+        pos = analysis.pos_of[and_index]
+        for index in reversed(analysis.live[max(pos - self.LOOKBACK, 0):pos]):
             insn = sym.insns[index].insn
             if insn.is_ld_imm64 and insn.dst == mask_reg:
                 if _mask_shift(insn.imm) == shift and insn.src == 0:
                     return index
                 return None
-            if mask_reg in insn.defs() or mask_reg in insn.uses():
-                return None
-            if insn.is_jump or insn.is_exit or insn.is_call:
+            use, defs, flags = decode(insn)
+            if (use | defs) >> mask_reg & 1 or flags & CONTROL:
                 return None
         return None
 
     def _redundant_jumps(self, sym: SymbolicProgram) -> int:
         """Delete unconditional jumps to the next live instruction."""
         rewrites = 0
-        for index in sym.live_indices():
-            item = sym.insns[index]
-            insn = item.insn
-            if not (insn.is_jump and insn.jmp_op == op.BPF_JA
-                    and not insn.is_exit and not insn.is_call):
-                continue
-            if item.target is None:
-                continue
-            resolved = item.target
-            while (resolved < len(sym.insns)
-                   and sym.insns[resolved].deleted):
-                resolved += 1
-            if resolved == sym.next_live(index):
-                snap = self._snapshot(sym)
-                sym.delete(index)
-                self._witness_delete(snap, index, "jump-thread")
-                rewrites += 1
+        for index in sym.jumps_to_next():
+            snap = self._snapshot(sym)
+            sym.delete(index)
+            self._witness_delete(snap, index, "jump-thread")
+            rewrites += 1
         return rewrites

@@ -18,7 +18,7 @@ register definitions (including self-moves left by register allocation).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ...isa import BpfProgram, Instruction
 from ...isa import instruction as ins
@@ -43,22 +43,24 @@ class StoreImmediatePass(BytecodePass):
 
     def run(self, program: BpfProgram) -> int:
         sym = SymbolicProgram.from_program(program)
+        analysis = BytecodeAnalysis(sym)
         rewrites = 0
-        rewrites += self._fold_store_immediates(sym)
-        rewrites += self._dead_stack_stores(sym)
-        rewrites += self._dead_defs(sym)
+        rewrites += self._fold_store_immediates(sym, analysis)
+        rewrites += self._dead_stack_stores(sym, analysis)
+        rewrites += self._dead_defs(sym, analysis)
         program.insns = sym.to_insns()
         return rewrites
 
     # ------------------------------------------------------------------
-    def _fold_store_immediates(self, sym: SymbolicProgram) -> int:
+    def _fold_store_immediates(self, sym: SymbolicProgram,
+                               analysis: BytecodeAnalysis) -> int:
         # deleting a constant mov only removes uses, so liveness facts
         # computed once per scan stay conservative for later rewrites
         rewrites = 0
         changed = True
         while changed:
             changed = False
-            analysis = BytecodeAnalysis(sym)
+            analysis.refresh()
             skip_until = -1
             for index in sym.live_indices():
                 if index <= skip_until or sym.insns[index].deleted:
@@ -103,18 +105,20 @@ class StoreImmediatePass(BytecodePass):
         return rewrites
 
     # ------------------------------------------------------------------
-    def _dead_stack_stores(self, sym: SymbolicProgram) -> int:
+    def _dead_stack_stores(self, sym: SymbolicProgram,
+                           analysis: BytecodeAnalysis) -> int:
         """Remove stack stores fully overwritten before any possible read."""
         rewrites = 0
-        analysis = BytecodeAnalysis(sym)
-        live = sym.live_indices()
+        live = analysis.refresh().live
+        accesses = [self._stack_access(analysis, sym.insns[index].insn, index)
+                    for index in live]
         for pos, index in enumerate(live):
             insn = sym.insns[index].insn
-            if not self._is_stack_store(insn):
+            if not (insn.is_store and not insn.is_atomic
+                    and insn.dst == op.FP):
                 continue
-            lo, hi = insn.off, insn.off + insn.size_bytes
             overwriter = self._overwritten_before_read(
-                sym, analysis, live, pos, lo, hi)
+                live, accesses, pos, insn.off, insn.off + insn.size_bytes)
             if overwriter is not None:
                 snap = self._snapshot(sym)
                 sym.delete(index)
@@ -124,53 +128,46 @@ class StoreImmediatePass(BytecodePass):
         return rewrites
 
     @staticmethod
-    def _is_stack_store(insn: Instruction) -> bool:
-        return (
-            insn.is_store
-            and not insn.is_atomic
-            and insn.dst == op.FP
-        )
+    def _stack_access(analysis: BytecodeAnalysis, insn: Instruction,
+                      index: int):
+        """``(is_store, lo, hi)`` for a stack store, load or atomic on
+        [lo, hi); ``()`` for a barrier no stack store may be tracked
+        across; None for anything else."""
+        if analysis.is_branch_target(index) or insn.is_jump:
+            return ()  # calls and exits included
+        # r10 escaping into another register makes aliasing possible
+        if insn.is_alu and not insn.uses_imm and insn.src == op.FP:
+            return ()
+        if (insn.is_load and insn.src == op.FP) or (
+                insn.is_store and insn.dst == op.FP):
+            return (insn.is_store and not insn.is_atomic, insn.off,
+                    insn.off + insn.size_bytes)
+        return None
 
-    def _overwritten_before_read(
-        self,
-        sym: SymbolicProgram,
-        analysis: BytecodeAnalysis,
-        live: List[int],
-        pos: int,
-        lo: int,
-        hi: int,
-    ) -> Optional[int]:
+    @staticmethod
+    def _overwritten_before_read(live: List[int], accesses: list, pos: int,
+                                 lo: int, hi: int) -> Optional[int]:
         """Logical index of the store that fully overwrites [lo, hi)
         before any possible read, or None."""
-        for later_pos in range(pos + 1, len(live)):
-            index = live[later_pos]
-            if analysis.is_branch_target(index):
+        for later in range(pos + 1, len(live)):
+            access = accesses[later]
+            if access is None:
+                continue
+            if not access:
                 return None
-            insn = sym.insns[index].insn
-            if insn.is_jump or insn.is_exit or insn.is_call:
-                return None
-            # r10 escaping into another register makes aliasing possible
-            if insn.is_alu and not insn.uses_imm and insn.src == op.FP:
-                return None
-            if insn.is_load and insn.src == op.FP:
-                if insn.off < hi and insn.off + insn.size_bytes > lo:
-                    return None
-            if insn.is_atomic and insn.dst == op.FP:
-                if insn.off < hi and insn.off + insn.size_bytes > lo:
-                    return None
-            if self._is_stack_store(insn):
-                if insn.off <= lo and insn.off + insn.size_bytes >= hi:
-                    return index  # fully overwritten
-                if insn.off < hi and insn.off + insn.size_bytes > lo:
-                    return None  # partial overlap: keep it simple
+            is_store, off, end = access
+            if off < hi and end > lo:
+                # fully overwritten, or a read or partial overlap
+                return live[later] if is_store and off <= lo and end >= hi \
+                    else None
         return None
 
     # ------------------------------------------------------------------
-    def _dead_defs(self, sym: SymbolicProgram) -> int:
+    def _dead_defs(self, sym: SymbolicProgram,
+                   analysis: BytecodeAnalysis) -> int:
         rewrites = 0
         while True:
-            analysis = BytecodeAnalysis(sym)
-            dead = analysis.dead_defs()
+            dead = analysis.refresh().dead_defs()
             if not dead:
                 return rewrites
             for index in dead:

@@ -10,9 +10,10 @@ offsets on the way out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterator, List, Optional, Set
 
 from ...isa import BpfProgram, Instruction
+from ...isa import opcodes as op
 
 
 class RelocationError(Exception):
@@ -31,103 +32,100 @@ class SymbolicProgram:
 
     def __init__(self, insns: List[SymInsn]):
         self.insns = insns
+        #: indices touched by :meth:`delete` and :meth:`replace`, in
+        #: order; lets an analysis update only what changed
+        self.edits: List[int] = []
 
     # --- conversion ---------------------------------------------------------
     @classmethod
     def from_program(cls, program: BpfProgram) -> "SymbolicProgram":
-        slot_to_index = {}
-        slot = 0
-        for index, insn in enumerate(program.insns):
-            slot_to_index[slot] = index
-            slot += insn.slots
-        end_slot = slot
+        insns = program.insns
+        slot_at = program.slot_offsets()
+        end_slot = slot_at[-1] + insns[-1].slots if insns else 0
+        index_at = {slot: index for index, slot in enumerate(slot_at)}
+        index_at[end_slot] = len(insns)
 
         sym: List[SymInsn] = []
-        slot = 0
-        for insn in program.insns:
+        for insn, slot in zip(insns, slot_at):
             target = None
             if insn.is_jump and not insn.is_call and not insn.is_exit:
-                target_slot = slot + insn.slots + insn.off
-                if target_slot == end_slot:
-                    target = len(program.insns)
-                elif target_slot not in slot_to_index:
+                target = index_at.get(slot + insn.slots + insn.off)
+                if target is None:
                     raise RelocationError(
                         f"branch at slot {slot} lands inside an instruction"
                     )
-                else:
-                    target = slot_to_index[target_slot]
             sym.append(SymInsn(insn, target))
-            slot += insn.slots
         return cls(sym)
 
     def to_insns(self) -> List[Instruction]:
         """Drop deletions, recompute offsets, return final instructions."""
-        # map old index -> new index of the next surviving instruction
-        survivors: List[int] = []
-        remap: List[int] = []
-        for sym in self.insns:
-            remap.append(len(survivors))
-            if not sym.deleted:
-                survivors.append(len(remap) - 1)
-        end_index = len(survivors)
-
-        live = [sym for sym in self.insns if not sym.deleted]
-        slots: List[int] = []
+        # slot_at[i]: new slot of the first survivor at or after index i
+        slot_at: List[int] = []
         slot = 0
-        for sym in live:
-            slots.append(slot)
-            slot += sym.insn.slots
-        end_slot = slot
+        for sym in self.insns:
+            slot_at.append(slot)
+            if not sym.deleted:
+                slot += sym.insn.slots
+        slot_at.append(slot)
 
         result: List[Instruction] = []
-        for new_index, sym in enumerate(live):
+        for index, sym in enumerate(self.insns):
+            if sym.deleted:
+                continue
             insn = sym.insn
             if sym.target is not None:
-                if sym.target >= len(self.insns):
-                    target_slot = end_slot
-                else:
-                    new_target = remap[sym.target]
-                    target_slot = (
-                        end_slot if new_target >= len(live) else slots[new_target]
-                    )
-                rel = target_slot - (slots[new_index] + insn.slots)
+                target_slot = slot_at[min(sym.target, len(self.insns))]
+                rel = target_slot - (slot_at[index] + insn.slots)
                 insn = insn.with_(off=rel)
             result.append(insn)
         return result
 
-    def apply_to(self, program: BpfProgram) -> BpfProgram:
-        """Return a copy of *program* with the rewritten instructions."""
-        return program.copy(insns=self.to_insns())
-
     # --- queries ------------------------------------------------------------
+    def resolve(self, index: int) -> int:
+        """Where control at logical *index* really lands: the first live
+        index at or after it, or ``len(insns)`` past the end."""
+        insns = self.insns
+        while index < len(insns) and insns[index].deleted:
+            index += 1
+        return index
+
     def branch_targets(self) -> Set[int]:
         """Logical indices some branch may land on (rewrite barriers)."""
-        targets = set()
-        for sym in self.insns:
-            if not sym.deleted and sym.target is not None:
-                target = sym.target
-                # a deleted target means control lands on the next live insn
-                while target < len(self.insns) and self.insns[target].deleted:
-                    target += 1
-                targets.add(target)
-        return targets
+        return {self.resolve(sym.target) for sym in self.insns
+                if not sym.deleted and sym.target is not None}
 
     def live_indices(self) -> List[int]:
         return [i for i, sym in enumerate(self.insns) if not sym.deleted]
 
     def next_live(self, index: int) -> Optional[int]:
-        for i in range(index + 1, len(self.insns)):
-            if not self.insns[i].deleted:
-                return i
-        return None
+        nxt = self.resolve(index + 1)
+        return nxt if nxt < len(self.insns) else None
+
+    def jumps_to_next(self) -> Iterator[int]:
+        """Live indices, in order, holding an unconditional ``ja`` that
+        lands on the next live instruction, so deleting it changes
+        nothing.  Lazy: each index is checked against the program as it
+        is when the caller asks for the next one."""
+        for index in self.live_indices():
+            item = self.insns[index]
+            insn = item.insn
+            if item.target is None or not (
+                    insn.is_jump and insn.jmp_op == op.BPF_JA
+                    and not insn.is_exit and not insn.is_call):
+                continue
+            nxt = self.next_live(index)
+            if nxt is not None and self.resolve(item.target) == nxt:
+                yield index
 
     # --- mutation ---------------------------------------------------------------
     def delete(self, index: int) -> None:
         self.insns[index].deleted = True
+        self.edits.append(index)
 
     def replace(self, index: int, insn: Instruction,
                 target: Optional[int] = None) -> None:
         self.insns[index] = SymInsn(insn, target)
+        self.edits.append(index)
 
     def insert_before(self, index: int, insn: Instruction,
                       target: Optional[int] = None) -> None:

@@ -595,7 +595,7 @@ class SuperoptimizerPass(BytecodePass):
             if self._try_window(sym, analysis, pos):
                 rewrites += 1
                 # indices at/after pos changed; positions before did not
-                analysis = BytecodeAnalysis(sym)
+                analysis.refresh()
                 continue  # retry the same position: rewrites can cascade
             pos += 1
         if rewrites:

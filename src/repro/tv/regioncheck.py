@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core.bytecode_passes.analysis import BytecodeAnalysis
+from ..core.bytecode_passes.analysis import SELF_MOVE, BytecodeAnalysis, decode
 from ..core.bytecode_passes.symbolic import SymInsn, SymbolicProgram
 from ..isa import Instruction
 from ..isa import opcodes as op
@@ -80,15 +80,12 @@ def _validate_jump_thread(witness: RewriteWitness) -> Certificate:
     sym = rebuild(witness.snapshot)
     item = sym.insns[witness.first]
     insn = item.insn
-    if not (insn.is_jump and insn.jmp_op == op.BPF_JA
-            and not insn.is_exit and not insn.is_call):
+    if not _is_plain_ja(insn):
         return _refuted(witness, "structural",
                         f"deleted instruction is not a plain jump: {insn}")
-    resolved = item.target
-    if resolved is None:
+    if item.target is None:
         return _refuted(witness, "structural", "jump has no recorded target")
-    while resolved < len(sym.insns) and sym.insns[resolved].deleted:
-        resolved += 1
+    resolved = sym.resolve(item.target)
     if resolved != sym.next_live(witness.first):
         return _refuted(
             witness, "structural",
@@ -101,20 +98,17 @@ def _validate_jump_thread(witness: RewriteWitness) -> Certificate:
 
 def _validate_dead_def(witness: RewriteWitness) -> Certificate:
     sym = rebuild(witness.snapshot)
-    analysis = BytecodeAnalysis(sym)
     insn = sym.insns[witness.first].insn
     if insn.is_memory or insn.is_call or insn.is_jump or insn.is_exit:
         return _refuted(witness, "structural",
                         f"deleted instruction has side effects: {insn}")
-    is_self_move = (insn.is_alu and insn.alu_op == op.BPF_MOV
-                    and not insn.uses_imm and insn.dst == insn.src
-                    and insn.is_alu64)
-    if is_self_move:
+    if decode(insn)[2] & SELF_MOVE:
         return _proved(witness, "structural", "64-bit self-move is a no-op")
     defs = insn.defs()
     if not defs:
         return _refuted(witness, "structural",
                         f"instruction defines nothing deletable: {insn}")
+    analysis = BytecodeAnalysis(sym)
     for reg in defs:
         if not analysis.reg_dead_after(witness.first, reg):
             return _refuted(

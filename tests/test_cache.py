@@ -122,6 +122,42 @@ class TestKeyComposition:
         assert k1 != k2
 
 
+class TestBuildFingerprint:
+    def test_fingerprint_is_computed_once_and_stable(self):
+        import repro.cache.keys as keys_mod
+
+        fingerprint = keys_mod.build_fingerprint()
+        assert len(fingerprint) == 64
+        assert keys_mod.build_fingerprint() is fingerprint  # cached
+        assert keys_mod.build_fingerprint.__wrapped__() == fingerprint
+
+    def test_changed_fingerprint_turns_a_stored_key_into_a_miss(
+            self, tmp_path, monkeypatch):
+        import repro.cache.keys as keys_mod
+
+        first = CompilationCache(directory=str(tmp_path))
+        _, report = compile_with(first)
+        assert not report.cached and first.stats.stores == 1
+        _, report = compile_with(CompilationCache(directory=str(tmp_path)))
+        assert report.cached  # same build: served from disk
+
+        monkeypatch.setattr(keys_mod, "build_fingerprint",
+                            lambda: "another optimizer build")
+        other = CompilationCache(directory=str(tmp_path))
+        _, report = compile_with(other)
+        assert not report.cached
+        assert other.stats.hits == 0 and other.stats.misses == 1
+
+    def test_fingerprint_feeds_the_superopt_memo_key(self, monkeypatch):
+        import repro.cache.keys as keys_mod
+        from repro.isa import instruction as ins
+
+        window = (ins.mov64_imm(0, 1),)
+        k1 = keys_mod.key_for_window(window)
+        monkeypatch.setattr(keys_mod, "build_fingerprint", lambda: "other")
+        assert keys_mod.key_for_window(window) != k1
+
+
 def compile_with(cache, source=SOURCE, entry="f"):
     func, module = build(source, entry)
     pipeline = MerlinPipeline()
