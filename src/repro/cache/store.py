@@ -23,6 +23,12 @@ never double-count.  A reader that already opened the file keeps its
 fd across the unlink (POSIX), so eviction can never tear an in-flight
 read; a reader that arrives after the rename sees a plain miss and
 recompiles.
+
+The store is shared between threads: the serve daemon answers memo
+hits on its event loop while its dispatch thread compiles and stores
+and a worker thread sweeps, so every read-modify-write of the LRU and
+of the stats counters holds one lock (never across pickling or disk
+I/O).
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -137,6 +144,7 @@ class CompilationCache:
         self.max_disk_bytes = max_disk_bytes
         #: memory layer holds (blob, last-touched wall-clock timestamp)
         self._memory: "OrderedDict[str, Tuple[bytes, float]]" = OrderedDict()
+        self._lock = threading.Lock()
         self._consecutive_write_errors = 0
         self._write_degraded = False
         self.stats = CacheStats()
@@ -172,21 +180,22 @@ class CompilationCache:
         the ``key_for_window`` namespace are :class:`RewriteMemoEntry`
         objects, not program/report pairs)."""
         now = time.time()
-        cached = self._memory.get(key)
-        if cached is not None:
-            blob, touched = cached
-            if self.ttl_seconds is not None \
-                    and now - touched > self.ttl_seconds:
+        with self._lock:
+            cached = self._memory.get(key)
+            if cached is not None and self.ttl_seconds is not None \
+                    and now - cached[1] > self.ttl_seconds:
                 # idle too long: drop it and fall through to disk,
                 # which will agree (its mtime is at least as old)
                 del self._memory[key]
                 self.stats.expired += 1
-            else:
-                self._memory[key] = (blob, now)
+                cached = None
+            elif cached is not None:
+                self._memory[key] = (cached[0], now)
                 self._memory.move_to_end(key)
                 self.stats.hits += 1
                 self.stats.memory_hits += 1
-                return pickle.loads(blob)
+        if cached is not None:
+            return pickle.loads(cached[0])
         if self.directory is not None:
             path = self._path(key)
             try:
@@ -194,7 +203,7 @@ class CompilationCache:
                     age = now - os.stat(path).st_mtime
                     if age > self.ttl_seconds:
                         if self._tombstone(path):
-                            self.stats.expired += 1
+                            self._count(expired=1)
                         raise FileNotFoundError(path)
                 with open(path, "rb") as handle:
                     blob = handle.read()
@@ -206,7 +215,7 @@ class CompilationCache:
                 # unreadable or torn entry (permission loss, directory
                 # replaced, schema drift): degrade to a miss
                 entry = None
-                self.stats.read_errors += 1
+                self._count(read_errors=1)
             if entry is not None:
                 self._remember(key, blob)
                 # a disk hit is an access: refresh the entry's mtime so
@@ -215,10 +224,9 @@ class CompilationCache:
                     os.utime(path, None)
                 except OSError:
                     pass
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
+                self._count(hits=1, disk_hits=1)
                 return entry
-        self.stats.misses += 1
+        self._count(misses=1)
         return None
 
     def put_object(self, key: str, obj: object) -> None:
@@ -228,7 +236,7 @@ class CompilationCache:
         self._remember(key, blob)
         if self.directory is not None:
             self._write_disk(key, blob)
-        self.stats.stores += 1
+        self._count(stores=1)
 
     def get(self, key: str) -> Optional[Tuple[BpfProgram, MerlinReport]]:
         return self.get_object(key)
@@ -251,7 +259,8 @@ class CompilationCache:
 
     def clear_memory(self) -> None:
         """Drop the LRU layer (disk entries, if any, survive)."""
-        self._memory.clear()
+        with self._lock:
+            self._memory.clear()
 
     @property
     def write_degraded(self) -> bool:
@@ -318,7 +327,7 @@ class CompilationCache:
             if self.ttl_seconds is not None \
                     and now - mtime > self.ttl_seconds:
                 if self._tombstone(path):
-                    self.stats.expired += 1
+                    self._count(expired=1)
                     removed["expired"] += 1
                     removed["bytes_freed"] += size
                 elif os.path.exists(path):
@@ -333,7 +342,7 @@ class CompilationCache:
                 if live_bytes <= self.max_disk_bytes:
                     break
                 if self._tombstone(path):
-                    self.stats.disk_evictions += 1
+                    self._count(disk_evictions=1)
                     removed["evicted"] += 1
                     removed["bytes_freed"] += size
                 elif os.path.exists(path):
@@ -365,12 +374,19 @@ class CompilationCache:
         return True
 
     # ---------------------------------------------------------- helpers
+    def _count(self, **deltas: int) -> None:
+        """Add *deltas* to the named stats counters under the lock."""
+        with self._lock:
+            for name, delta in deltas.items():
+                setattr(self.stats, name, getattr(self.stats, name) + delta)
+
     def _remember(self, key: str, blob: bytes) -> None:
-        self._memory[key] = (blob, time.time())
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_memory_entries:
-            self._memory.popitem(last=False)
-            self.stats.evictions += 1
+        with self._lock:
+            self._memory[key] = (blob, time.time())
+            self._memory.move_to_end(key)
+            while len(self._memory) > self.max_memory_entries:
+                self._memory.popitem(last=False)
+                self.stats.evictions += 1
 
     def _path(self, key: str) -> str:
         assert self.directory is not None
@@ -396,7 +412,7 @@ class CompilationCache:
             os.replace(tmp, path)
             self._consecutive_write_errors = 0
         except OSError:
-            self.stats.write_errors += 1
+            self._count(write_errors=1)
             self._consecutive_write_errors += 1
             if self._consecutive_write_errors >= self.WRITE_DEGRADE_AFTER:
                 self._write_degraded = True

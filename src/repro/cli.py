@@ -809,7 +809,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-batch", type=int, default=16,
                    help="admission batch size ceiling (default: 16)")
     s.add_argument("--max-delay-ms", type=float, default=10.0,
-                   help="admission window linger in ms (default: 10)")
+                   help="unused: an admission batch is whatever is "
+                        "already queued, with no linger (accepted so "
+                        "existing command lines still parse)")
     s.add_argument("--kernel", default="6.5", choices=sorted(KERNELS))
     s.add_argument("--fleet", type=int, default=0, metavar="N",
                    help="run a consistent-hash router over N shard "
@@ -821,8 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="BYTES",
                    help="disk-store size budget (LRU-evicted by sweep)")
     s.add_argument("--preempt-priority", type=int, default=1,
-                   help="priority that cuts the admission linger short "
-                        "(default: 1)")
+                   help="priority that closes its admission batch at "
+                        "once (default: 1)")
     s.add_argument("--stats-out", metavar="FILE",
                    help="write the final stats snapshot as JSON")
     s.set_defaults(handler=cmd_serve)

@@ -3,13 +3,15 @@
 Architecture (one asyncio event loop, one dispatch thread, N worker
 processes)::
 
-    client --- JSON lines ---> connection handler --+
-    client --- JSON lines ---> connection handler --+--> admission queue
+    client --- JSON lines ---> connection handler --+--> memo hit:
+    client --- JSON lines ---> connection handler --+    answered here
+                                                    |
+                                                    +--> admission queue
                                                          |
-                                           batcher task: collect up to
-                                           max_batch requests or wait
-                                           max_delay, group by pipeline
-                                           config, then
+                                           batcher task: take what is
+                                           queued (up to max_batch,
+                                           no linger), group by
+                                           pipeline config, then
                                                          |
                                            compile_many(..., executor=
                                            persistent process pool,
@@ -18,12 +20,14 @@ processes)::
                                                          |
     client <-- response lines (arrival order) <-- per-request futures
 
-Admission batching amortizes dispatch overhead and lets concurrent
-clients share one warm cache: the first compile of a program pays the
-pipeline, every repeat — from any client, any connection, any worker
-process — is a cache hit.  Responses stream back per request as each
-batch completes; a connection's responses always come back in its
-request-arrival order, so clients may pipeline arbitrarily deep.
+A repeat of a memoized source is answered at admission, straight from
+the warm cache, and never waits behind a compile.  Admission batching
+amortizes dispatch overhead and lets concurrent clients share one warm
+cache: the first compile of a program pays the pipeline, every repeat
+— from any client, any connection, any worker process — is a cache
+hit.  Responses stream back per request as each batch completes; a
+connection's responses always come back in its request-arrival order,
+so clients may pipeline arbitrarily deep.
 
 The socket, framing, per-connection writer and stop sequence live in
 :class:`~repro.serve.lineserver.LineServer`; this module keeps only the
@@ -74,8 +78,10 @@ class ServeConfig:
     jobs: int = 1                       # compile worker processes
     cache_dir: Optional[str] = None     # shared warm cache (None: temp)
     max_memory_entries: int = 4096
-    max_batch: int = 16                 # admission window: size cap ...
-    max_delay: float = 0.01             # ... and linger seconds
+    max_batch: int = 16                 # admission batch size cap
+    #: seconds; accepted and reported in ``stats`` but unused: a batch
+    #: is whatever is already queued, with no linger
+    max_delay: float = 0.01
     kernel: str = "6.5"
     queue_limit: int = 4096             # admission backpressure
     #: how long ``stop(drain=True)`` lets the event loop keep admitting
@@ -86,8 +92,8 @@ class ServeConfig:
     #: fair queue serves a backlogged tenant at most ``weight``
     #: consecutive slots per round
     tenant_weights: Optional[Dict[str, int]] = None
-    #: requests at this priority or above cut the admission window's
-    #: linger timer short (the batch dispatches immediately)
+    #: a request at this priority or above closes its admission batch
+    #: at once: it takes no more companions
     preempt_priority: int = 1
     #: idle TTL for cache entries (seconds; None = keep forever)
     cache_ttl: Optional[float] = None
@@ -131,7 +137,7 @@ class ServeConfig:
 
 
 class _Pending:
-    """One admitted compile request awaiting its batch."""
+    """One compile request: its response future and admission time."""
 
     __slots__ = ("request", "future", "enqueued", "dispatched")
 
@@ -240,6 +246,10 @@ class OptimizationDaemon(LineServer):
             return
         future = self._loop.create_future()
         pending = _Pending(request, future)
+        if self._fast_path(pending):
+            # a memo hit costs a lookup, not a place in the queue
+            conn.enqueue(future)
+            return
         try:
             self._queue.put_nowait(pending, priority=request.priority,
                                    tenant=request.tenant)
@@ -258,13 +268,20 @@ class OptimizationDaemon(LineServer):
         return pending.request.priority >= self.config.preempt_priority
 
     async def _batch_loop(self) -> None:
-        """Admission batching: linger up to ``max_delay`` for up to
-        ``max_batch`` requests, then dispatch them as one batch.
+        """Admission batching by group commit: take the first request,
+        then everything already admitted (up to ``max_batch``) without
+        waiting, then dispatch them as one batch.
+
+        Nothing lingers for companions: batches form under load from
+        whatever queued while the previous batch compiled, and a wait
+        would only delay the first request.  Under open-loop load a
+        10 ms linger was most of a one-worker daemon's p50 and gave a
+        two-worker pool no bigger batches.
 
         The fair queue hands requests over highest-priority-first and
         weighted round-robin across tenants; a request at or above
-        ``preempt_priority`` additionally cancels the remaining linger
-        so urgent work never waits out the window behind bulk traffic.
+        ``preempt_priority`` closes the batch at once, so an urgent
+        request's batch carries no bulk traffic queued behind it.
         """
         stop_seen = False
         while not stop_seen:
@@ -273,15 +290,10 @@ class OptimizationDaemon(LineServer):
                 break
             batch = [item]
             preempted = self._preempts(item)
-            deadline = self._loop.time() + self.config.max_delay
             while len(batch) < self.config.max_batch and not preempted:
-                remaining = deadline - self._loop.time()
-                if remaining <= 0:
-                    break
                 try:
-                    nxt = await asyncio.wait_for(self._queue.get(),
-                                                 timeout=remaining)
-                except asyncio.TimeoutError:
+                    nxt = self._queue.get_nowait()
+                except asyncio.QueueEmpty:
                     break
                 if nxt is _STOP:
                     stop_seen = True
@@ -311,6 +323,9 @@ class OptimizationDaemon(LineServer):
 
     def _fast_path(self, pending: _Pending) -> bool:
         """Answer a repeat request straight from the warm cache.
+
+        Tried at admission, so a hit never enters the queue, and again
+        at dispatch for a source memoized while its request waited.
 
         The content-addressed cache key hashes canonical IR, so a
         plain lookup still pays the full frontend.  The daemon sees

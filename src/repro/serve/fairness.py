@@ -7,8 +7,10 @@ single request waits behind hundreds of queued repeats.  The fleet
 tier replaces the FIFO with :class:`FairAdmissionQueue`:
 
 * **Strict priority classes.**  Higher ``priority`` drains first; the
-  daemon additionally uses a high-priority arrival to preempt the
-  admission window's linger timer (see ``ServeConfig.preempt_priority``).
+  daemon additionally closes an admission batch at a high-priority
+  arrival, so it takes no more companions (see
+  ``ServeConfig.preempt_priority``).  Memo hits never reach this queue:
+  the daemon answers them at admission.
 * **Weighted round-robin across tenants** inside each class: the
   tenant at the head of the ring is served up to ``weight(tenant)``
   consecutive requests, then the ring rotates.  A tenant with a

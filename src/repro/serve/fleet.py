@@ -68,6 +68,9 @@ from .lineserver import Connection, LineServer, ServerThread
 VNODES = 64
 #: seconds a shard gets to spawn, import and bind before connect fails
 CONNECT_TIMEOUT = 60.0
+#: seconds one reconnect attempt lasts before the supervisor re-checks
+#: whether the shard process is still there
+RECONNECT_SLICE = 1.0
 
 
 # ------------------------------------------------------------------ ring
@@ -458,24 +461,47 @@ class ShardRouter(LineServer):
 
     async def _revive(self, link: _ShardLink) -> None:
         """Bring a dead shard back: respawn its process (optional),
-        reconnect, and return it to the routing ring."""
+        reconnect, and return it to the routing ring.
+
+        A SIGKILLed shard's socket can hang up before its exit status
+        is reapable, so one ``is_alive()`` sample may still read alive.
+        A short join first lets an exit under way land, and connects
+        run in ``RECONNECT_SLICE`` slices with a re-check after each
+        failed one: a shard a stale sample called alive is respawned a
+        slice later, not after a whole ``CONNECT_TIMEOUT`` spent on its
+        dead socket.  Each process gets ``CONNECT_TIMEOUT`` to answer;
+        one still alive but unreachable after that is given up on
+        (``respawn=False``) or replaced.  A shard that keeps dying on
+        start-up is respawned with a doubling pause, from
+        ``reconnect_delay`` up to ``CONNECT_TIMEOUT``.
+        """
+        deadline = time.monotonic() + CONNECT_TIMEOUT
+        backoff = 0.0  # the first respawn is immediate
         while not self._stopping:
             proc = self._procs.get(link.index)
-            if self.config.respawn and (proc is None
-                                        or not proc.is_alive()):
-                if proc is not None:
+            if proc is not None:
+                await self._loop.run_in_executor(None, proc.join, 0.1)
+            gone = proc is None or not proc.is_alive()
+            if gone or time.monotonic() > deadline:
+                if not self.config.respawn:
+                    return  # nothing will ever answer; stay down
+                if not gone:
+                    proc.kill()  # alive but never answering
                     await self._loop.run_in_executor(None, proc.join, 1.0)
+                await asyncio.sleep(backoff)
+                backoff = min(max(2 * backoff, self.config.reconnect_delay),
+                              CONNECT_TIMEOUT)
                 await self._loop.run_in_executor(
                     None, self._spawn_shard, link.index)
                 self.stats.respawns += 1
+                deadline = time.monotonic() + CONNECT_TIMEOUT
             try:
-                await link.connect(timeout=CONNECT_TIMEOUT)
-                self.stats.reconnects += 1
-                return
+                await link.connect(timeout=RECONNECT_SLICE)
             except RuntimeError:
-                if not self.config.respawn:
-                    return  # nothing will ever answer; stay down
                 await asyncio.sleep(self.config.reconnect_delay)
+                continue
+            self.stats.reconnects += 1
+            return
 
     # ------------------------------------------------------------- stats
     async def snapshot(self) -> dict:

@@ -75,10 +75,13 @@ class ServiceStats:
     batches_dispatched: int = 0
     batched_requests: int = 0
     max_batch_size: int = 0
-    preempted_batches: int = 0  # linger cut short by a priority arrival
+    preempted_batches: int = 0  # batches holding a preempting request
     peak_queue_depth: int = 0   # high-water mark of the admission queue
     busy_seconds: float = 0.0  # wall time spent inside compile_many
     latency: LatencyReservoir = field(default_factory=LatencyReservoir)
+    #: admission-to-dispatch wait (``queue_wait``) of the compiles that
+    #: entered the admission queue; memo hits answered at admission
+    #: never queue and are not in it
     queue_latency: LatencyReservoir = field(
         default_factory=lambda: LatencyReservoir(window=4096))
     #: completed compiles per tenant (bounded: overflow folds into

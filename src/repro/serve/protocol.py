@@ -41,7 +41,7 @@ Protocol v2 adds two optional request fields the fleet tier consumes:
 ``tenant`` (a client-chosen stream label; the admission queue gives
 every backlogged tenant a weighted fair share of each batch window)
 and ``priority`` (0..9, default 0; higher classes drain first and a
-high-priority arrival preempts the admission window's linger timer).
+high-priority arrival closes its admission batch at once).
 Both are ignored by the cache key — identical programs share one
 entry no matter who asks.
 """
@@ -113,7 +113,7 @@ class Request:
     #: fairness stream label (fleet tier); "" groups with the default
     tenant: str = ""
     #: admission priority 0..9; >= the daemon's ``preempt_priority``
-    #: also cuts the batch linger timer short
+    #: also closes its admission batch at once
     priority: int = 0
 
     @property

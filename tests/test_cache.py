@@ -7,6 +7,8 @@ to a fresh one.
 """
 
 import dataclasses
+import threading
+import time
 
 import pytest
 
@@ -409,6 +411,41 @@ class TestCacheStats:
         d = CacheStats(hits=1, misses=2).to_dict()
         assert d["hits"] == 1 and d["misses"] == 2
         assert d["hit_rate"] == round(1 / 3, 4)
+
+
+class TestLockedUpdates:
+    """The serve daemon reads the store on its event loop while its
+    dispatch thread stores and a worker thread sweeps, so every LRU or
+    stats-counter update must wait for the store's one lock."""
+
+    @pytest.mark.parametrize("op", ["memory-hit", "disk-hit", "miss",
+                                    "store", "sweep"])
+    def test_update_waits_for_the_lock(self, tmp_path, op):
+        cache = CompilationCache(directory=str(tmp_path), ttl_seconds=60)
+        cache.put_object("warm", ("value", 1))
+        if op == "disk-hit":
+            cache.clear_memory()
+        action = {
+            "memory-hit": lambda: cache.get_object("warm"),
+            "disk-hit": lambda: cache.get_object("warm"),
+            "miss": lambda: cache.get_object("cold"),
+            "store": lambda: cache.put_object("new", ("value", 2)),
+            # far enough ahead that the sweep expires "warm"
+            "sweep": lambda: cache.sweep(now=time.time() + 3600),
+        }[op]
+        before = dataclasses.replace(cache.stats)
+        done = threading.Event()
+        thread = threading.Thread(target=lambda: (action(), done.set()))
+        with cache._lock:
+            thread.start()
+            assert not done.wait(0.2), f"{op} ran without the lock"
+            assert cache.stats == before
+            memory = len(cache._memory)
+        thread.join(timeout=10)
+        assert done.is_set()
+        assert cache.stats != before
+        if op in ("disk-hit", "store"):
+            assert len(cache) == memory + 1
 
 
 class TestWriteDegradation:

@@ -8,16 +8,18 @@ drops, trace record/replay determinism, and cross-shard cache
 contention under TTL eviction.
 """
 
+import asyncio
 import time
 
 import pytest
 
 from repro.eval.serviceperf import scan_cache_tree
-from repro.serve import ServeClient, ServeConfig
+from repro.serve import ServeClient, ServeConfig, fleet as fleet_module
 from repro.serve.fleet import (
     FleetConfig,
     FleetThread,
     HashRing,
+    ShardRouter,
     aggregate_shard_stats,
 )
 from repro.serve.loadgen import PoolProgram
@@ -403,6 +405,43 @@ class TestShardFailure:
                 assert snapshot["router"]["respawns"] >= 1
                 assert snapshot["router"]["reconnects"] >= 1
 
+    def test_respawn_survives_a_stale_liveness_sample(self):
+        """Regression: a SIGKILLed shard's socket can hang up before
+        its exit is reapable, so the supervisor's first ``is_alive()``
+        may still say True.  It must re-check after a failed connect
+        and respawn, not spend the whole connect timeout on the dead
+        socket."""
+        import threading
+
+        config = FleetConfig(shards=2, reconnect_delay=0.05,
+                             shard=ServeConfig(max_delay=0.005))
+        with FleetThread(config) as fleet:
+            with ServeClient(fleet.address) as client:
+                proc = fleet.router._procs[0]
+                real_is_alive = proc.is_alive
+                lies = [True]
+
+                def stale_is_alive():
+                    # kill_shard asks from this thread; the router asks
+                    # from its own, and gets one stale answer
+                    if lies and threading.current_thread() \
+                            is not threading.main_thread():
+                        return lies.pop()
+                    return real_is_alive()
+
+                proc.is_alive = stale_is_alive
+                fleet.kill_shard(0)
+                deadline = time.monotonic() + 15
+                while time.monotonic() < deadline:
+                    alive = client.ping()["result"]["alive_shards"]
+                    if alive == 2 and fleet.router._procs[0] is not proc:
+                        break
+                    time.sleep(0.05)
+                assert lies == []  # the router did see the stale sample
+                assert fleet.router._procs[0] is not proc
+                assert alive == 2
+                assert client.stats()["router"]["respawns"] == 1
+
     def test_requests_reroute_while_shard_down(self):
         config = FleetConfig(shards=2, respawn=False,
                              shard=ServeConfig(max_delay=0.005))
@@ -481,6 +520,91 @@ class TestShardFailure:
 
 
 # ===================================== cross-shard cache contention (S2)
+
+class _FakeShardProcess:
+    def __init__(self, alive: bool):
+        self.alive = alive
+        self.killed = False
+
+    def is_alive(self) -> bool:
+        return self.alive
+
+    def join(self, timeout=None) -> None:
+        pass
+
+    def kill(self) -> None:
+        self.killed = True
+        self.alive = False
+
+
+class _SilentLink:
+    """A shard link whose connect attempts always fail."""
+
+    index = 0
+
+    async def connect(self, timeout: float) -> None:
+        raise RuntimeError("shard 0 never answers")
+
+
+class TestReviveSupervision:
+    """``ShardRouter._revive`` against fake shard processes that never
+    answer: it must neither spin nor wait forever."""
+
+    def _supervise(self, monkeypatch, *, respawn, alive, seconds,
+                   connect_timeout=60.0):
+        monkeypatch.setattr(fleet_module, "CONNECT_TIMEOUT", connect_timeout)
+        router = ShardRouter(FleetConfig(shards=1, respawn=respawn,
+                                         reconnect_delay=0.05))
+        first = _FakeShardProcess(alive)
+        router._procs[0] = first
+        spawned = []
+
+        def spawn(index):
+            spawned.append(time.monotonic())
+            router._procs[index] = _FakeShardProcess(alive)
+
+        router._spawn_shard = spawn
+
+        async def main():
+            router._loop = asyncio.get_running_loop()
+            try:
+                await asyncio.wait_for(router._revive(_SilentLink()),
+                                       seconds)
+            except asyncio.TimeoutError:
+                return False
+            return True
+
+        return asyncio.run(main()), first, spawned
+
+    def test_crash_looping_shard_is_respawned_with_a_growing_pause(
+            self, monkeypatch):
+        finished, _first, spawned = self._supervise(
+            monkeypatch, respawn=True, alive=False, seconds=1.5)
+        assert not finished
+        # a respawn every reconnect_delay (0.05 s) would be ~30 here
+        assert 3 <= len(spawned) <= 6
+        gaps = [b - a for a, b in zip(spawned, spawned[1:])]
+        assert gaps[-1] >= 2 * gaps[0]
+
+    def test_live_but_silent_shard_is_given_up_without_respawn(
+            self, monkeypatch):
+        start = time.monotonic()
+        finished, first, spawned = self._supervise(
+            monkeypatch, respawn=False, alive=True, seconds=5.0,
+            connect_timeout=0.3)
+        assert finished
+        assert time.monotonic() - start < 2.0
+        assert spawned == [] and not first.killed
+
+    def test_live_but_silent_shard_is_replaced_after_connect_timeout(
+            self, monkeypatch):
+        finished, first, spawned = self._supervise(
+            monkeypatch, respawn=True, alive=True, seconds=1.0,
+            connect_timeout=0.3)
+        assert not finished
+        assert first.killed
+        assert 1 <= len(spawned) <= 3
+
 class TestCrossShardContention:
     def test_ttl_eviction_races_never_tear_entries(self):
         """Two shard daemons sweep one cache tree on a tight TTL while

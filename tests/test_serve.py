@@ -956,3 +956,115 @@ class TestPriorityPreemption:
                 assert all(r["ok"] for r in responses)
             snapshot = handle.daemon.snapshot()
         assert snapshot["batches"]["max_size"] > 1
+
+
+def slow_source(name, branches=300):
+    """A miss that takes a visible while to compile (~0.5 s here)."""
+    body = "\n".join(f"    if (a > {i}) {{ acc = acc + a * {i + 3}; }}"
+                     for i in range(branches))
+    return (f"u64 {name}(u8* ctx) {{\n"
+            f"    u64 a = *(u64*)(ctx + 0);\n"
+            f"    u64 acc = 0;\n{body}\n    return acc;\n}}\n")
+
+
+class TestZeroWaitAdmission:
+    """Memo hits are answered at admission, and a batch never lingers
+    for companions: no request waits on an idle daemon.  Each test uses
+    a long ``max_delay`` so a wait out of the old window would show."""
+
+    @staticmethod
+    def _counters(handle):
+        snapshot = handle.daemon.snapshot()
+        return (snapshot["batches"]["requests"],
+                snapshot["queue_wait"]["count"],
+                snapshot["requests"]["fast_path_hits"],
+                snapshot["requests"]["compiles"])
+
+    def test_memo_hit_is_answered_at_admission(self):
+        import time
+
+        config = ServeConfig(max_batch=8, max_delay=0.5)
+        with DaemonThread(config) as handle:
+            with ServeClient(handle.address) as client:
+                client.request(payload(*SOURCES[0]), check=True)
+                batched, queued, hits, compiles = self._counters(handle)
+                started = time.monotonic()
+                response = client.request(payload(*SOURCES[0]), check=True)
+                elapsed = time.monotonic() - started
+            after = self._counters(handle)
+        assert response["result"]["cached"] is True
+        assert elapsed < 0.1
+        # never entered the queue or a batch, but still counts as served
+        assert after == (batched, queued, hits + 1, compiles + 1)
+
+    def test_lone_miss_does_not_linger_on_one_worker(self):
+        import time
+
+        config = ServeConfig(max_batch=8, max_delay=0.5)
+        with DaemonThread(config) as handle:
+            with ServeClient(handle.address) as client:
+                client.request(payload(*SOURCES[0]), check=True)
+                started = time.monotonic()
+                response = client.request(payload(*SOURCES[1]), check=True)
+                elapsed = time.monotonic() - started
+            snapshot = handle.daemon.snapshot()
+        assert response["result"]["cached"] is False
+        assert elapsed < 0.25
+        assert snapshot["batches"]["preempted"] == 0
+
+    def test_pipelined_hit_behind_slow_miss_keeps_order(self):
+        config = ServeConfig(max_batch=8, max_delay=0.5)
+        with DaemonThread(config) as handle:
+            with ServeClient(handle.address) as client:
+                client.request(payload(*SOURCES[0]), check=True)
+                batched, queued, hits, _ = self._counters(handle)
+                ids = [client.send(payload("slow", slow_source("slow"))),
+                       client.send(payload(*SOURCES[0]))]
+                responses = [client.recv() for _ in ids]
+            after = self._counters(handle)
+        assert [r["id"] for r in responses] == ids
+        assert all(r["ok"] for r in responses)
+        assert responses[1]["result"]["cached"] is True
+        # only the slow miss queued and compiled
+        assert after[:3] == (batched + 1, queued + 1, hits + 1)
+
+    def test_hit_is_not_held_behind_another_connections_compile(self):
+        import select
+        import time
+
+        config = ServeConfig(max_batch=8, max_delay=0.5)
+        with DaemonThread(config) as handle:
+            with ServeClient(handle.address) as fast, \
+                    ServeClient(handle.address) as slow:
+                fast.request(payload(*SOURCES[0]), check=True)
+                _, queued, _, _ = self._counters(handle)
+                slow.send(payload("slow", slow_source("slow")))
+                # queue_wait counts at dispatch: the slow miss is
+                # compiling once it moves
+                deadline = time.monotonic() + 30
+                while (fast.stats()["queue_wait"]["count"]
+                       == queued and time.monotonic() < deadline):
+                    time.sleep(0.005)
+                hit = fast.request(payload(*SOURCES[0]), check=True)
+                readable, _, _ = select.select([slow._sock], [], [], 0)
+                assert hit["result"]["cached"] is True
+                assert readable == []  # the slow miss is still compiling
+                assert slow.recv()["ok"]
+
+    def test_worker_pool_batches_misses_queued_behind_a_compile(self):
+        """No linger, yet misses that queue while a batch compiles
+        still go out together as the next batch."""
+        config = ServeConfig(max_batch=8, max_delay=0.5, jobs=2)
+        sources = [(f"co{i}", src.replace(name, f"co{i}"))
+                   for i, (name, src) in enumerate(SOURCES)]
+        with DaemonThread(config) as handle:
+            with ServeClient(handle.address) as client:
+                ids = [client.send(payload("slow", slow_source("slow")))]
+                ids += [client.send(payload(name, source))
+                        for name, source in sources]
+                responses = [client.recv() for _ in ids]
+            snapshot = handle.daemon.snapshot()
+        assert [r["id"] for r in responses] == ids
+        assert all(r["ok"] for r in responses)
+        assert snapshot["batches"]["requests"] == len(ids)
+        assert snapshot["batches"]["max_size"] > 1
